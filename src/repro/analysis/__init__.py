@@ -16,8 +16,8 @@ refactor aggressively without corrupting the cost model:
   waiver syntax and one suppression baseline.
 """
 
-from repro.analysis.lint import LintViolation, lint_paths, run_lint
 from repro.analysis.static import Finding, analyze_paths
+from repro.analysis.static.runner import lint_paths, run_lint
 from repro.analysis.sanitizer import STREAM_AFFINITY, Sanitizer, format_summary
 from repro.analysis.violations import (
     ALL_RULES,
@@ -38,7 +38,6 @@ from repro.analysis.violations import (
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LintViolation",
     "analyze_paths",
     "RULE_CROSS_DEVICE",
     "RULE_DOUBLE_CONSUME",

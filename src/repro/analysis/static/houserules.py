@@ -1,7 +1,7 @@
 """House-rules pass: the original repo-specific AST checks.
 
-These four rules predate the dataflow framework (they were
-``analysis/lint.py``); they are ported onto the shared
+These four rules predate the dataflow framework (they were the
+original single-file linter); they are ported onto the shared
 :class:`~repro.analysis.static.dataflow.ModuleInfo` /
 :class:`~repro.analysis.static.dataflow.SymbolTable` plumbing so the
 whole linter has one :class:`Finding` type, one waiver syntax and one

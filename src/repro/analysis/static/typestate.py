@@ -298,7 +298,7 @@ class _LifecycleInterp(AbstractInterpreter[Optional[TSValue]]):
                     f"that already emitted it; the subscriber missed "
                     "events — register before the first emit",
                 )
-        elif method == "attach" and value.states:
+        elif method in ("attach", "observing") and value.states:
             emitted = ", ".join(sorted(value.states))
             self._report(
                 call.lineno,

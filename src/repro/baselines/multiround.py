@@ -67,13 +67,10 @@ class MultiRoundEngine:
             num_walks=num_walks,
         )
         bus = self.bus if self.bus is not None else EventBus()
-        observers = [
-            bus.attach(StatsCollector(aggregate, metrics=self.metrics))
-        ]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
         round_summaries = []
-        try:
+        with bus.observing(
+            StatsCollector(aggregate, metrics=self.metrics), self.metrics
+        ):
             for round_index in range(self.rounds):
                 walks_this_round = min(per_round, remaining)
                 remaining -= walks_this_round
@@ -90,9 +87,6 @@ class MultiRoundEngine:
                 aggregate.num_partitions = round_stats.num_partitions
                 if round_stats.sanitizer is not None:
                     round_summaries.append(round_stats.sanitizer)
-        finally:
-            for observer in observers:
-                bus.detach(observer)
         if round_summaries:
             # Each round ran its own sanitized engine; the aggregate rolls
             # the per-round findings up so --sanitize gates on all rounds.

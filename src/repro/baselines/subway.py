@@ -153,15 +153,14 @@ class SubwayEngine:
             num_walks=num_walks,
         )
         bus = self.bus if self.bus is not None else EventBus()
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
         breakdown = {CAT_SUBGRAPH: 0.0, CAT_GRAPH_LOAD: 0.0, CAT_WALK_UPDATE: 0.0}
         self.records = []
         cal = cfg.calibration
         iteration = 0
 
-        try:
+        with bus.observing(
+            StatsCollector(stats, metrics=self.metrics), self.metrics
+        ):
             while alive.any():
                 iteration += 1
                 if iteration > cfg.max_iterations:
@@ -262,7 +261,4 @@ class SubwayEngine:
                     finished_walks=num_walks,
                 )
             )
-        finally:
-            for observer in observers:
-                bus.detach(observer)
         return stats

@@ -135,9 +135,6 @@ class UVMEngine:
             num_walks=num_walks,
         )
         bus = self.bus if self.bus is not None else EventBus()
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
         migration_time = 0.0
         compute_time = 0.0
         steps_rate = self.kernel_model.steps_per_second(graph.csr_bytes)
@@ -147,7 +144,9 @@ class UVMEngine:
         self.page_hits = 0
         iteration = 0
 
-        try:
+        with bus.observing(
+            StatsCollector(stats, metrics=self.metrics), self.metrics
+        ):
             while alive.any():
                 iteration += 1
                 if iteration > cfg.max_iterations:
@@ -224,9 +223,6 @@ class UVMEngine:
                     finished_walks=num_walks,
                 )
             )
-        finally:
-            for observer in observers:
-                bus.detach(observer)
         stats.notes = f"faults={self.faults} hits={self.page_hits}"
         return stats
 

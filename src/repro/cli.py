@@ -98,6 +98,7 @@ from repro.bench.workloads import (
     standard_config,
     standard_walks,
 )
+from repro.core.config import EngineConfig
 from repro.core.engine import LightTrafficEngine
 from repro.core.metrics import MetricsCollector
 from repro.core.stats import RunStats
@@ -436,11 +437,50 @@ def _load_graph(args: argparse.Namespace) -> "CSRGraph":
     return load_edge_list(args.graph, preprocess=True, name=args.graph)
 
 
+def _engine_config(
+    args: argparse.Namespace, graph: "CSRGraph"
+) -> Optional[EngineConfig]:
+    """The validated config of an engine-backed system, else ``None``.
+
+    Raises ``ValueError`` on a bad combination of flags (``--devices 0``,
+    a ``--fail`` device out of range, ``--rebalance-threshold`` <= 1).
+    """
+    platform = default_platform()
+    sampler = getattr(args, "sampler", None)
+    sanitize = getattr(args, "sanitize", False)
+    if args.system == "multiround":
+        return standard_config(
+            graph, platform, interconnect=args.interconnect, seed=args.seed,
+            sampler=sampler, sanitize=sanitize,
+        )
+    if args.system != "lighttraffic":
+        return None
+    backend = getattr(args, "backend", "simulated")
+    overrides: dict = {"backend": backend}
+    if backend != "simulated":
+        # Real backends replay the exact trajectories of the simulated
+        # path, which requires schedule-independent per-lane draws.
+        overrides["rng_mode"] = "counter"
+    return standard_config(
+        graph, platform, interconnect=args.interconnect, seed=args.seed,
+        sampler=sampler, sanitize=sanitize,
+        devices=getattr(args, "devices", 1),
+        **overrides,
+        peer_interconnect=getattr(args, "peer_interconnect", "nvlink"),
+        topology=getattr(args, "topology", "all-pairs"),
+        device_specs=getattr(args, "device_specs", None),
+        failure_schedule=getattr(args, "failure_schedule", None),
+        rebalance_threshold=getattr(args, "rebalance_threshold", None),
+    )
+
+
 def _run_system(
     args: argparse.Namespace,
     graph: "CSRGraph",
+    engine_config: Optional[EngineConfig],
     metrics: Optional[MetricsCollector] = None,
 ) -> RunStats:
+    """Run the selected system (``engine_config``: :func:`_engine_config`)."""
     from repro.baselines import (
         FlashMobEngine,
         MultiRoundEngine,
@@ -456,42 +496,22 @@ def _run_system(
     platform = default_platform()
     algorithm = harness.make_algorithm(args.algorithm)
     sampler = getattr(args, "sampler", None)
-    if sampler is not None and args.system not in ("lighttraffic", "multiround"):
+    if sampler is not None and engine_config is None:
         # Bus-less baselines get the override applied directly; the engine
-        # systems route it through EngineConfig.sampler below so the
+        # systems route it through EngineConfig.sampler so the
         # config-validation path is exercised too.
         algorithm.set_transition_sampler(sampler)
-    walks = args.walks or standard_walks(graph)
+    walks = args.walks if args.walks is not None else standard_walks(graph)
     sanitize = getattr(args, "sanitize", False)
     if args.system == "lighttraffic":
-        backend = getattr(args, "backend", "simulated")
-        overrides: dict = {"backend": backend}
-        if backend != "simulated":
-            # Real backends replay the exact trajectories of the simulated
-            # path, which requires schedule-independent per-lane draws.
-            overrides["rng_mode"] = "counter"
-        config = standard_config(
-            graph, platform, interconnect=args.interconnect, seed=args.seed,
-            sampler=sampler, sanitize=sanitize,
-            devices=getattr(args, "devices", 1),
-            **overrides,
-            peer_interconnect=getattr(args, "peer_interconnect", "nvlink"),
-            topology=getattr(args, "topology", "all-pairs"),
-            device_specs=getattr(args, "device_specs", None),
-            failure_schedule=getattr(args, "failure_schedule", None),
-            rebalance_threshold=getattr(args, "rebalance_threshold", None),
-        )
         return LightTrafficEngine(
-            graph, algorithm, config, metrics=metrics
+            graph, algorithm, engine_config, metrics=metrics
         ).run(walks)
     if args.system == "multiround":
-        config = standard_config(
-            graph, platform, interconnect=args.interconnect, seed=args.seed,
-            sampler=sampler, sanitize=sanitize,
-        )
+        assert engine_config is not None
         factory = harness.ALGORITHM_FACTORIES[args.algorithm]
         return MultiRoundEngine(
-            graph, factory, config, rounds=2, metrics=metrics
+            graph, factory, engine_config, rounds=2, metrics=metrics
         ).run(walks)
     if args.system == "thunderrw":
         return ThunderRWEngine(graph, algorithm, cpu=platform.cpu,
@@ -547,11 +567,10 @@ def _run_bus_baseline(engine: Any, walks: int, sanitize: bool) -> RunStats:
     bus = engine.bus if engine.bus is not None else EventBus()
     engine.bus = bus
     sanitizer = Sanitizer().bind(expected_walks=walks)
-    observer = bus.attach(sanitizer)
     try:
-        stats = engine.run(walks)
+        with bus.observing(sanitizer):
+            stats = engine.run(walks)
     finally:
-        bus.detach(observer)
         sanitizer.unbind()
     stats.sanitizer = sanitizer.summary()
     return stats
@@ -609,6 +628,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.core.config import FailureSchedule
     from repro.gpu.cluster import ClusterDeviceSpec
 
+    if args.walks is not None and args.walks < 1:
+        print(
+            f"--walks must be >= 1, got {args.walks}; omit it to run the "
+            "default 2|V| walks",
+            file=sys.stderr,
+        )
+        return 2
     metrics: Optional[MetricsCollector] = None
     want_metrics = (
         args.metrics_json is not None or args.metrics_prom is not None
@@ -686,9 +712,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    graph = _load_graph(args)
     try:
-        stats = _run_system(args, graph, metrics=metrics)
+        graph = _load_graph(args)
+    except (OSError, ValueError) as exc:
+        source = args.graph or args.dataset
+        print(f"cannot load graph {source}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        config = _engine_config(args, graph)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    try:
+        stats = _run_system(args, graph, config, metrics=metrics)
     except ValueError as exc:
         if args.sampler is not None and "sampler" in str(exc):
             print(str(exc), file=sys.stderr)

@@ -53,17 +53,17 @@ assigned:
   pending walks over the ordinary peer channels so the sanitizer's
   migration-conservation rule covers the rebalance path unchanged.
 
-With ``devices=1`` no cluster state is active (no owned mask, no router)
-and the iteration loop degenerates to exactly the single-device engine —
-:mod:`tests.test_engine_parity` pins bit-identical :class:`RunStats`;
-homogeneous no-failure multi-device runs are pinned the same way against
-``tests/data/cluster_golden.json``.
+:meth:`MultiDeviceEngine.run` is the engine's only run loop: a
+single-device run (:meth:`~repro.core.engine.LightTrafficEngine.run`
+delegates here) is a one-shard cluster with no owned mask and no router.
+:mod:`tests.test_engine_parity` pins its :class:`RunStats` bit-identical
+to the single-device goldens; homogeneous no-failure multi-device runs
+are pinned the same way against ``tests/data/cluster_golden.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,9 +78,7 @@ from repro.core.events import (
     ShardRebalanced,
     WalksDelivered,
     WalksMigrated,
-    WalksSeeded,
 )
-from repro.core.scheduler import Scheduler
 from repro.core.stages import (
     ComputeDispatcher,
     GraphServer,
@@ -95,30 +93,9 @@ from repro.core.stats import (
     StatsCollector,
 )
 from repro.core.trace import TraceSubscriber
-from repro.gpu.cluster import (
-    DeviceCluster,
-    PeerChannel,
-    PeerLinkSpec,
-    assign_partitions,
-    homogeneous_specs,
-    peer_link_by_name,
-    topology_by_name,
-)
-from repro.gpu.kernels import DIRECT_WRITE, KernelModel
-from repro.gpu.memory import BlockPool
-from repro.gpu.timeline import TimeBreakdown, Timeline
-from repro.walks.pool import DeviceWalkPool, HostWalkPool
-from repro.walks.reshuffle import (
-    DirectWriteReshuffler,
-    TwoLevelReshuffler,
-    group_by_partition,
-)
+from repro.gpu.cluster import DeviceCluster, PeerChannel, assign_partitions
+from repro.gpu.timeline import TimeBreakdown
 from repro.walks.state import WalkArrays
-
-if TYPE_CHECKING:
-    from repro.algorithms.base import RandomWalkAlgorithm
-    from repro.core.config import EngineConfig
-    from repro.graph.csr import CSRGraph
 
 
 class _Shard:
@@ -141,34 +118,89 @@ class _Shard:
         self.preemptive = PreemptiveDispatcher(ctx, self.compute)
         self.alive = True
 
-    @property
-    def pending(self) -> int:
-        return self.ctx.host.total_walks + self.ctx.device.cached_walks
 
-
-def _transit(
+def _send(
+    ctx: StageContext,
+    dst: int,
     hops: Tuple[PeerChannel, ...],
-    nbytes: int,
     walks: int,
-    send_start: float,
+    earliest: float,
 ) -> float:
-    """Carry one payload across the route's channel hops; returns arrival.
+    """Send ``walks`` walks from ``ctx``'s device toward ``dst``.
 
-    Each hop's link is occupied in sequence (a relay cannot forward
-    before it has received).  Conservation counters: every hop counts
-    the payload as sent; relay hops also count it as delivered the
+    Returns the payload's arrival time at ``dst``.  The send occupies
+    the source evict stream (``CAT_WALK_MIGRATE``), charged once and
+    modeled on the first hop's link, which is held while the source copy
+    engine pushes the payload; each relay hop forwards it as soon as it
+    has received it.  Conservation counters: every hop
+    counts the payload as sent; relay hops also count it as delivered the
     moment it leaves them, so only the final hop's ``delivered_walks``
-    waits for the actual pool delivery — per-channel ``sent ==
-    delivered`` stays an invariant at run end under every topology.
+    waits for the actual pool delivery (:func:`_delivered`) — per-channel
+    ``sent == delivered`` stays an invariant at run end under every
+    topology.
     """
-    arrival = send_start
+    nbytes = walks * ctx.bytes_per_walk
+    send_t = (
+        hops[0].spec.transfer_time(nbytes)
+        + ctx.config.calibration.scaled_memcpy_call_seconds
+    )
+    arrival: float = ctx.timeline.evict.schedule(
+        send_t, CAT_WALK_MIGRATE, earliest=earliest
+    )[0]
     last = hops[-1]
     for hop in hops:
-        __, arrival = hop.transfer(nbytes, earliest=arrival)
+        arrival = hop.transfer(nbytes, earliest=arrival)[1]
         hop.sent_walks += walks
         if hop is not last:
             hop.delivered_walks += walks
+    ctx.bus.emit(
+        WalksMigrated(
+            src_device=ctx.device_id,
+            dst_device=dst,
+            walks=walks,
+            nbytes=nbytes,
+            seconds=send_t,
+        )
+    )
     return arrival
+
+
+def _delivered(
+    dctx: StageContext,
+    src: int,
+    chan: PeerChannel,
+    walks: int,
+    parts: Iterable[int],
+    ready: float,
+    arrival: float,
+) -> None:
+    """Book a payload that landed in ``dctx``'s pools.
+
+    Kernels over the delivered walks of ``parts`` may not start before
+    ``ready``.  ``src`` is the route's true origin — under multi-hop
+    topologies the final hop's source is a relay.
+    """
+    for part in parts:
+        if ready > dctx.frontier_ready.get(part, 0.0):
+            dctx.frontier_ready[part] = ready
+    chan.delivered_walks += walks
+    dctx.bus.emit(
+        WalksDelivered(
+            src_device=src,
+            dst_device=dctx.device_id,
+            walks=walks,
+            arrival=arrival,
+        )
+    )
+
+
+def _refresh_owned(cluster: DeviceCluster, shards: List[_Shard]) -> None:
+    """Point every alive shard's scheduler at its current partitions."""
+    for shard in shards:
+        if shard.alive:
+            shard.ctx.scheduler.set_owned(
+                cluster.owned_mask(shard.ctx.device_id)
+            )
 
 
 class WalkMigrator:
@@ -200,7 +232,6 @@ class WalkMigrator:
         local_mask = dest == src
         if bool(local_mask.all()):
             return active, new_parts
-        cal = ctx.config.calibration
         # Ascending destination order keeps the send sequence — and with it
         # every downstream timestamp — deterministic.
         for dst in np.unique(dest[~local_mask]):
@@ -208,66 +239,29 @@ class WalkMigrator:
             sel = dest == dst
             payload = active.select(sel)
             parts = new_parts[sel]
-            nbytes = len(payload) * ctx.bytes_per_walk
             hops = self.cluster.route(src, dst)
-            send_t = (
-                hops[0].spec.transfer_time(nbytes)
-                + cal.scaled_memcpy_call_seconds
-            )
             earliest = kernel_end
             if not ctx.config.pipeline:
                 earliest = max(earliest, ctx.timeline.now)
-            send_start, __ = ctx.timeline.evict.schedule(
-                send_t, CAT_WALK_MIGRATE, earliest=earliest
+            arrival = _send(ctx, dst, hops, len(payload), earliest)
+            # Scatter the payload into the destination shard's pool.
+            shard = self.shards[dst]
+            dctx = shard.ctx
+            cost, __ = dctx.reshuffler.reshuffle(dctx.device, payload, parts)
+            ready = dctx.sched(
+                dctx.timeline.compute, cost, CAT_RESHUFFLE, arrival
             )
-            # The first link is held while the source copy engine pushes
-            # the payload; relay hops forward it as soon as it lands.
-            arrival = _transit(hops, nbytes, len(payload), send_start)
-            ctx.bus.emit(
-                WalksMigrated(
-                    src_device=src,
-                    dst_device=dst,
-                    walks=len(payload),
-                    nbytes=nbytes,
-                    seconds=send_t,
-                )
+            _delivered(
+                dctx,
+                src,
+                hops[-1],
+                len(payload),
+                (int(p) for p in np.unique(parts)),
+                ready,
+                arrival,
             )
-            self._deliver(src, dst, hops[-1], payload, parts, arrival)
+            shard.compute.enforce_walk_capacity(protect=None)
         return active.select(local_mask), new_parts[local_mask]
-
-    def _deliver(
-        self,
-        src: int,
-        dst: int,
-        chan: PeerChannel,
-        payload: WalkArrays,
-        parts: np.ndarray,
-        arrival: float,
-    ) -> None:
-        """Scatter a migrated payload into the destination shard's pool.
-
-        ``src``/``dst`` are the route's true endpoints — under multi-hop
-        topologies the final hop's source is a relay, not the origin.
-        """
-        shard = self.shards[dst]
-        dctx = shard.ctx
-        cost, __ = dctx.reshuffler.reshuffle(dctx.device, payload, parts)
-        ready = dctx.sched(dctx.timeline.compute, cost, CAT_RESHUFFLE, arrival)
-        for p in np.unique(parts):
-            p = int(p)
-            prev = dctx.frontier_ready.get(p, 0.0)
-            if ready > prev:
-                dctx.frontier_ready[p] = ready
-        chan.delivered_walks += len(payload)
-        dctx.bus.emit(
-            WalksDelivered(
-                src_device=src,
-                dst_device=dst,
-                walks=len(payload),
-                arrival=arrival,
-            )
-        )
-        shard.compute.enforce_walk_capacity(protect=None)
 
 
 class ClusterController:
@@ -331,7 +325,9 @@ class ClusterController:
             if not shard.alive:
                 continue
             device = shard.ctx.device_id
-            sample = min(self._pending.get(device, 0), shard.pending)
+            sample = min(
+                self._pending.get(device, 0), shard.ctx.pending_walks
+            )
             loads[device] = (
                 sample / self.cluster.spec(device).assignment_weight
             )
@@ -381,47 +377,17 @@ class ClusterController:
             if walks == 0:
                 continue
             walks_moved += walks
-            nbytes = walks * src_ctx.bytes_per_walk
             hops = cluster.route(src, dst)
-            send_t = (
-                hops[0].spec.transfer_time(nbytes)
-                + src_ctx.config.calibration.scaled_memcpy_call_seconds
-            )
             # The handoff starts once the old owner's pipeline quiesces.
-            send_start, __ = src_ctx.timeline.evict.schedule(
-                send_t, CAT_WALK_MIGRATE, earliest=src_ctx.timeline.now
-            )
-            arrival = _transit(hops, nbytes, walks, send_start)
-            bus.emit(
-                WalksMigrated(
-                    src_device=src,
-                    dst_device=dst,
-                    walks=walks,
-                    nbytes=nbytes,
-                    seconds=send_t,
-                )
+            arrival = _send(
+                src_ctx, dst, hops, walks, earliest=src_ctx.timeline.now
             )
             dctx = shards[dst].ctx
             for group in groups:
                 dctx.host.append_walks(p, group)
-            hops[-1].delivered_walks += walks
-            prev = dctx.frontier_ready.get(p, 0.0)
-            if arrival > prev:
-                dctx.frontier_ready[p] = arrival
-            bus.emit(
-                WalksDelivered(
-                    src_device=src,
-                    dst_device=dst,
-                    walks=walks,
-                    arrival=arrival,
-                )
-            )
+            _delivered(dctx, src, hops[-1], walks, (p,), arrival, arrival)
         cluster.set_owners(moved, new_owner[moved])
-        for shard in shards:
-            if shard.alive:
-                shard.ctx.scheduler.set_owned(
-                    cluster.owned_mask(shard.ctx.device_id)
-                )
+        _refresh_owned(cluster, shards)
         bus.emit(
             ShardRebalanced(
                 iteration=iteration,
@@ -435,7 +401,11 @@ class ClusterController:
 
 
 class MultiDeviceEngine(LightTrafficEngine):
-    """The LightTraffic engine sharded across ``config.devices`` devices."""
+    """The LightTraffic engine sharded across ``config.devices`` devices.
+
+    This class holds the engine's one run loop; ``devices=1`` is a
+    one-shard cluster and :meth:`LightTrafficEngine.run` delegates here.
+    """
 
     def _build_shard(
         self,
@@ -446,117 +416,153 @@ class MultiDeviceEngine(LightTrafficEngine):
         bus: EventBus,
         backend: Any = None,
     ) -> _Shard:
-        """One device's substrate; mirrors the single-device context."""
-        cfg = self.config
-        num_partitions = self.partitioned.num_partitions
-        batch_cap = cfg.resolved_batch_walks()
-        capacity = cfg.walk_pool_walks
-        if capacity is None:
-            capacity = max(num_walks, batch_cap)
-        reshuffler_cls = (
-            DirectWriteReshuffler
-            if cfg.reshuffle_mode == DIRECT_WRITE
-            else TwoLevelReshuffler
+        """One device's context plus its pipeline stage instances."""
+        return _Shard(
+            self._build_context(
+                device_id, cluster, rng, num_walks, bus, backend
+            )
         )
-        multi = cluster.num_devices > 1
-        # Heterogeneity: scale this shard's cost model and memory budgets
-        # by its capability spec.  The == 1.0 guards keep the homogeneous
-        # path on the exact shared objects/ints (bit-identity).
-        spec = cluster.spec(device_id)
-        kernel_model = self.kernel_model
-        if spec.compute_scale != 1.0:
-            device = dataclass_replace(
-                cfg.device,
-                name=f"{cfg.device.name}-{spec.name}",
-                clock_hz=cfg.device.clock_hz * spec.compute_scale,
-                mem_bandwidth=cfg.device.mem_bandwidth * spec.compute_scale,
-            )
-            kernel_model = KernelModel(device, cfg.calibration)
-        if spec.memory_scale != 1.0:
-            capacity = max(batch_cap, int(capacity * spec.memory_scale))
-        pool_partitions = cfg.graph_pool_partitions
-        if spec.memory_scale != 1.0:
-            pool_partitions = max(
-                1, int(cfg.graph_pool_partitions * spec.memory_scale)
-            )
-        # link_scale covers the device's whole I/O complex: the host
-        # interconnect carrying graph/walk DMA as well as the peer links
-        # (which DeviceCluster.channel scales on its own).
-        pcie = self.pcie
-        ship_link = self.ship_link
-        if spec.link_scale != 1.0:
-            pcie = dataclass_replace(
-                self.pcie,
-                name=f"{self.pcie.name}x{spec.link_scale:g}",
-                bandwidth=self.pcie.bandwidth * spec.link_scale,
-                latency_seconds=self.pcie.latency_seconds / spec.link_scale,
-            )
-            ship_link = dataclass_replace(
-                self.ship_link,
-                name=f"{self.ship_link.name}x{spec.link_scale:g}",
-                bandwidth=self.ship_link.bandwidth * spec.link_scale,
-                latency_seconds=(
-                    self.ship_link.latency_seconds / spec.link_scale
-                ),
-            )
-        ctx = StageContext(
-            config=cfg,
-            graph=self.graph,
-            algorithm=self.algorithm,
-            pgraph=self.partitioned,
-            rng=rng,
-            scheduler=Scheduler(
-                num_partitions,
-                cfg.selective,
-                cfg.preemptive,
-                eviction_policy=cfg.eviction_policy,
-                owned=cluster.owned_mask(device_id) if multi else None,
-            ),
-            host=HostWalkPool(num_partitions, batch_cap),
-            device=DeviceWalkPool(num_partitions, batch_cap, capacity),
-            graph_pool=BlockPool(
-                pool_partitions,
-                name=f"graph-pool-d{device_id}",
-                track_recency=(cfg.eviction_policy == "lru"),
-            ),
-            timeline=Timeline(record_ops=cfg.record_ops),
-            bus=bus,
-            reshuffler=reshuffler_cls(
-                kernel_model, num_partitions, backend=backend
-            ),
-            kernel_model=kernel_model,
-            pcie=pcie,
-            ship_link=ship_link,
-            bytes_per_walk=self.algorithm.bytes_per_walk,
-            adaptive=self.adaptive,
-            device_id=device_id,
-            cluster=cluster,
-            backend=backend,
-        )
-        return _Shard(ctx)
 
-    def _seed_shards(
+    @staticmethod
+    def _iterate(shard: _Shard, iteration: int) -> None:
+        """One pipeline iteration of one shard (Algorithm 2's loop body)."""
+        ctx = shard.ctx
+        ctx.iteration = iteration
+        selected = ctx.scheduler.select_partition(ctx.host, ctx.device)
+        if selected is None:  # pragma: no cover - the shard has walks
+            return
+        ctx.bus.emit(
+            IterationStarted(
+                iteration,
+                selected,
+                ctx.partition_walks(selected),
+                device=ctx.device_id,
+            )
+        )
+        served = shard.graph_server.serve(selected)
+        shard.preemptive.fill(exclude=selected)
+        contents, batch_t = shard.loader.stream(selected)
+        # Kernels over migrated walks wait for their payload; everything
+        # delivered so far is consumed now, and later deliveries (only
+        # ever from other shards' kernels) re-arm the bound.
+        frontier_t = ctx.frontier_ready.pop(selected, 0.0)
+        if contents is not None:
+            shard.compute.dispatch(
+                selected,
+                contents,
+                earliest=max(served.ready_time, batch_t, frontier_t),
+                zero_copy=served.zero_copy,
+            )
+        shard.compute.dispatch(
+            selected,
+            ctx.device.pop_all(selected),
+            earliest=max(served.ready_time, frontier_t),
+            zero_copy=served.zero_copy,
+        )
+
+    def _sweep(
         self,
         shards: List[_Shard],
         cluster: DeviceCluster,
-        rng: Any,
+        bus: EventBus,
+        controller: Optional[ClusterController],
         num_walks: int,
     ) -> None:
-        """Seed every walk into the host pool of its start partition's owner."""
-        starts = self.algorithm.start_vertices(self.graph, num_walks, rng)
-        walks = WalkArrays.fresh(starts)
-        self.algorithm.on_start(walks, self.graph)
-        backend = shards[0].ctx.backend
-        if backend is not None:
-            # All shards share one backend; precompute once from the full
-            # seeded state before the walks are split across devices.
-            backend.on_walks_seeded(walks)
-        start_parts = self.partitioned.find_partitions(walks.vertices)
-        groups = group_by_partition(walks, start_parts)
-        for part, group in groups.items():
-            shards[cluster.owner(part)].ctx.host.append_walks(part, group)
-        shards[0].ctx.bus.emit(
-            WalksSeeded(walks=num_walks, partitions=len(groups))
+        """Run round-robin sweeps over the shards until no walk is left.
+
+        In one sweep each shard with pending walks runs pipeline
+        iterations in proportion to its compute rate — a 2x shard
+        dispatches two partitions per sweep, a 0.5x shard one every other
+        sweep (whole credits are spent, fractions carry over); homogeneous
+        shards skip the credits and run one.  Migration may hand walks to
+        a shard later in the sweep (processed the same sweep) or earlier
+        (picked up next sweep); the run ends after a sweep that found
+        every shard empty.  Each shard's pending count is read once per
+        turn.  Device failures fire and the controller rebalances at sweep
+        boundaries.
+        """
+        cfg = self.config
+        pending_failures = (
+            sorted(
+                cfg.failure_schedule.failures,
+                key=lambda f: (f.at_iteration, f.device),
+            )
+            if cfg.failure_schedule is not None and len(shards) > 1
+            else []
+        )
+        #: per-device compute rate; None when every shard runs at 1.0.
+        rates: Optional[List[float]] = [
+            cluster.spec(dev).compute_scale for dev in range(len(shards))
+        ]
+        if all(rate == 1.0 for rate in rates):
+            rates = None
+        credits = [0.0] * len(shards)
+        iteration = 0
+        while True:
+            while (
+                pending_failures
+                and pending_failures[0].at_iteration <= iteration + 1
+                and any(s.ctx.pending_walks for s in shards)
+            ):
+                failure = pending_failures.pop(0)
+                self._fail_device(
+                    shards, cluster, failure.device, iteration, bus, num_walks
+                )
+            idle = True
+            for shard in shards:
+                ctx = shard.ctx
+                if not shard.alive or ctx.pending_walks == 0:
+                    continue
+                idle = False
+                rounds = 1
+                if rates is not None:
+                    dev = ctx.device_id
+                    credits[dev] += rates[dev]
+                    rounds = int(credits[dev])
+                    credits[dev] -= rounds
+                for round_idx in range(rounds):
+                    if round_idx and ctx.pending_walks == 0:
+                        break
+                    iteration += 1
+                    if (
+                        cfg.max_iterations is not None
+                        and iteration > cfg.max_iterations
+                    ):
+                        left = sum(s.ctx.pending_walks for s in shards)
+                        raise RuntimeError(
+                            f"exceeded max_iterations={cfg.max_iterations} "
+                            f"with {left} walks left"
+                        )
+                    self._iterate(shard, iteration)
+            if idle:
+                return
+            if controller is not None:
+                controller.maybe_rebalance(iteration, bus)
+
+    @staticmethod
+    def _completion(
+        shards: List[_Shard], cluster: DeviceCluster, num_walks: int
+    ) -> RunCompleted:
+        """The run's closing event; every walk must have finished."""
+        finished = sum(shard.ctx.finished for shard in shards)
+        if finished != num_walks:
+            raise RuntimeError(
+                f"walk conservation violated: finished {finished} "
+                f"of {num_walks}"
+            )
+        breakdown = TimeBreakdown()
+        total_time = 0.0
+        for shard in shards:
+            breakdown.merge(shard.ctx.timeline.breakdown)
+            total_time = max(total_time, shard.ctx.timeline.total_time())
+        for stream in cluster.all_streams():
+            total_time = max(total_time, stream.busy_until)
+        return RunCompleted(
+            total_time=total_time,
+            breakdown=breakdown.as_dict(),
+            graph_pool_hits=sum(s.ctx.graph_pool.hits for s in shards),
+            graph_pool_misses=sum(s.ctx.graph_pool.misses for s in shards),
+            finished_walks=finished,
         )
 
     # ------------------------------------------------------------------
@@ -570,7 +576,7 @@ class MultiDeviceEngine(LightTrafficEngine):
         mutation ends with this check so a lost or duplicated walk
         surfaces at the mutation that caused it, not at run end.
         """
-        pending = sum(shard.pending for shard in shards)
+        pending = sum(shard.ctx.pending_walks for shard in shards)
         finished = sum(shard.ctx.finished for shard in shards)
         if pending + finished != expected:
             raise RuntimeError(
@@ -620,7 +626,7 @@ class MultiDeviceEngine(LightTrafficEngine):
         if moved.size < alive_ids.size:
             ranked = sorted(
                 (
-                    shards[int(d)].pending
+                    shards[int(d)].ctx.pending_walks
                     / cluster.spec(int(d)).assignment_weight,
                     int(d),
                 )
@@ -628,25 +634,15 @@ class MultiDeviceEngine(LightTrafficEngine):
             )
             chosen = sorted(dev for __, dev in ranked[: moved.size])
             alive_ids = np.asarray(chosen, dtype=np.int64)
-        weights = None
-        if self.config.heterogeneous_assignment and any(
-            cluster.spec(int(d)).assignment_weight != 1.0
-            for d in alive_ids
-        ):
-            weights = np.array(
-                [cluster.spec(int(d)).assignment_weight for d in alive_ids],
-                dtype=np.float64,
-            )
+        weights = self._assignment_weights(
+            [cluster.spec(int(d)) for d in alive_ids]
+        )
         sub = assign_partitions(
             sizes[moved], len(alive_ids), weights=weights
         )
         new_owners = alive_ids[sub]
         cluster.set_owners(moved, new_owners)
-        for survivor in shards:
-            if survivor.alive:
-                survivor.ctx.scheduler.set_owned(
-                    cluster.owned_mask(survivor.ctx.device_id)
-                )
+        _refresh_owned(cluster, shards)
         recovered: Dict[int, List[int]] = {}
         for idx, p in enumerate(int(x) for x in moved):
             dst = int(new_owners[idx])
@@ -683,42 +679,7 @@ class MultiDeviceEngine(LightTrafficEngine):
             raise ValueError("num_walks must be >= 1")
         cfg = self.config
         num_devices = cfg.devices
-        peer = cfg.peer_interconnect
-        link = (
-            peer
-            if isinstance(peer, PeerLinkSpec)
-            else peer_link_by_name(str(peer))
-        )
-        sizes = np.asarray(
-            self.partitioned.partition_sizes(), dtype=np.int64
-        )
-        specs = (
-            tuple(cfg.device_specs)
-            if cfg.device_specs is not None
-            else homogeneous_specs(num_devices)
-        )
-        topology = (
-            topology_by_name(cfg.topology, num_devices)
-            if num_devices > 1
-            else None
-        )
-        weights = None
-        if cfg.heterogeneous_assignment and any(
-            spec.assignment_weight != 1.0 for spec in specs
-        ):
-            weights = np.array(
-                [spec.assignment_weight for spec in specs],
-                dtype=np.float64,
-            )
-        cluster = DeviceCluster(
-            sizes,
-            num_devices,
-            link=link,
-            record_ops=cfg.record_ops,
-            specs=specs,
-            topology=topology,
-            assignment_weights=weights,
-        )
+        cluster = self._make_cluster()
         bus = self.bus if self.bus is not None else EventBus()
         rng = self._make_rng()
         # One backend shared by every shard: the kernels are partition-
@@ -742,11 +703,9 @@ class MultiDeviceEngine(LightTrafficEngine):
             num_partitions=self.partitioned.num_partitions,
             num_devices=num_devices,
         )
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
-        if self.trace is not None:
-            observers.append(bus.attach(TraceSubscriber(self.trace)))
+        tracer = (
+            TraceSubscriber(self.trace) if self.trace is not None else None
+        )
         sanitizer = None
         if cfg.sanitize:
             from repro.analysis import Sanitizer
@@ -763,7 +722,6 @@ class MultiDeviceEngine(LightTrafficEngine):
                 )
             if num_devices > 1:
                 sanitizer.bind_cluster(cluster)
-            observers.append(bus.attach(sanitizer))
         controller = None
         if num_devices > 1 and cfg.rebalance_threshold is not None:
             controller = ClusterController(
@@ -778,142 +736,18 @@ class MultiDeviceEngine(LightTrafficEngine):
                     )
                 ),
             )
-            observers.append(bus.attach(controller))
-        pending_failures = (
-            sorted(
-                cfg.failure_schedule.failures,
-                key=lambda f: (f.at_iteration, f.device),
-            )
-            if cfg.failure_schedule is not None and num_devices > 1
-            else []
-        )
-
-        iteration = 0
-        #: fractional dispatch credits of non-uniform shards (sweep-rate
-        #: model); uniform shards never touch it.
-        credits = [0.0] * num_devices
         try:
-            self._seed_shards(shards, cluster, rng, num_walks)
-            while any(shard.pending > 0 for shard in shards):
-                # Sweep boundary: fire any device failure whose iteration
-                # has come due before running further kernels.
-                while (
-                    pending_failures
-                    and pending_failures[0].at_iteration <= iteration + 1
-                ):
-                    failure = pending_failures.pop(0)
-                    self._fail_device(
-                        shards,
-                        cluster,
-                        failure.device,
-                        iteration,
-                        bus,
-                        num_walks,
-                    )
-                # One round-robin sweep: each shard with pending walks runs
-                # pipeline iterations in proportion to its compute rate —
-                # a 2x shard dispatches two partitions per sweep, a 0.5x
-                # shard one every other sweep (whole credits are spent,
-                # fractions carry over).  Uniform shards take the exact
-                # historical one-iteration path.  Migration may hand walks
-                # to a shard later in the sweep (processed the same sweep)
-                # or earlier (picked up next sweep); the outer loop drains
-                # until every shard is empty.
-                for shard in shards:
-                    ctx = shard.ctx
-                    if not shard.alive or shard.pending == 0:
-                        continue
-                    rate = cluster.spec(ctx.device_id).compute_scale
-                    if rate == 1.0:
-                        rounds = 1
-                    else:
-                        credits[ctx.device_id] += rate
-                        rounds = int(credits[ctx.device_id])
-                        credits[ctx.device_id] -= rounds
-                    for __ in range(rounds):
-                        if shard.pending == 0:
-                            break
-                        iteration += 1
-                        if (
-                            cfg.max_iterations is not None
-                            and iteration > cfg.max_iterations
-                        ):
-                            left = sum(s.pending for s in shards)
-                            raise RuntimeError(
-                                f"exceeded max_iterations="
-                                f"{cfg.max_iterations} with {left} walks "
-                                "left"
-                            )
-                        ctx.iteration = iteration
-                        selected = ctx.scheduler.select_partition(
-                            ctx.host, ctx.device
-                        )
-                        if selected is None:  # pragma: no cover
-                            continue
-                        bus.emit(
-                            IterationStarted(
-                                iteration,
-                                selected,
-                                ctx.partition_walks(selected),
-                                device=ctx.device_id,
-                            )
-                        )
-                        served = shard.graph_server.serve(selected)
-                        shard.preemptive.fill(exclude=selected)
-                        contents, batch_t = shard.loader.stream(selected)
-                        frontier_t = ctx.frontier_ready.get(selected, 0.0)
-                        if contents is not None:
-                            shard.compute.dispatch(
-                                selected,
-                                contents,
-                                earliest=max(
-                                    served.ready_time, batch_t, frontier_t
-                                ),
-                                zero_copy=served.zero_copy,
-                            )
-                        shard.compute.dispatch(
-                            selected,
-                            ctx.device.pop_all(selected),
-                            earliest=max(served.ready_time, frontier_t),
-                            zero_copy=served.zero_copy,
-                        )
-                        # Everything delivered so far has been consumed;
-                        # later deliveries re-arm the bound.
-                        ctx.frontier_ready.pop(selected, None)
-                if controller is not None:
-                    controller.maybe_rebalance(iteration, bus)
-
-            finished = sum(shard.ctx.finished for shard in shards)
-            if finished != num_walks:
-                raise RuntimeError(
-                    f"walk conservation violated: finished {finished} "
-                    f"of {num_walks}"
-                )
-            breakdown = TimeBreakdown()
-            total_time = 0.0
-            for shard in shards:
-                breakdown.merge(shard.ctx.timeline.breakdown)
-                total_time = max(
-                    total_time, shard.ctx.timeline.total_time()
-                )
-            for stream in cluster.all_streams():
-                total_time = max(total_time, stream.busy_until)
-            bus.emit(
-                RunCompleted(
-                    total_time=total_time,
-                    breakdown=breakdown.as_dict(),
-                    graph_pool_hits=sum(
-                        s.ctx.graph_pool.hits for s in shards
-                    ),
-                    graph_pool_misses=sum(
-                        s.ctx.graph_pool.misses for s in shards
-                    ),
-                    finished_walks=finished,
-                )
-            )
+            with bus.observing(
+                StatsCollector(stats, metrics=self.metrics),
+                self.metrics,
+                tracer,
+                sanitizer,
+                controller,
+            ):
+                self._seed([shard.ctx for shard in shards], num_walks)
+                self._sweep(shards, cluster, bus, controller, num_walks)
+                bus.emit(self._completion(shards, cluster, num_walks))
         finally:
-            for observer in observers:
-                bus.detach(observer)
             if sanitizer is not None:
                 sanitizer.unbind()
                 stats.sanitizer = sanitizer.summary()
@@ -933,19 +767,3 @@ class MultiDeviceEngine(LightTrafficEngine):
         self._cluster = cluster
         self._shards = shards
         return stats
-
-
-def run_sharded(
-    graph: "CSRGraph",
-    algorithm: "RandomWalkAlgorithm",
-    num_walks: int,
-    config: "Optional[EngineConfig]" = None,
-    devices: Optional[int] = None,
-) -> RunStats:
-    """One-call convenience: build a multi-device engine and run it."""
-    from repro.core.config import EngineConfig
-
-    config = config if config is not None else EngineConfig()
-    if devices is not None:
-        config = config.with_options(devices=devices)
-    return MultiDeviceEngine(graph, algorithm, config).run(num_walks)

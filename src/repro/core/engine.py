@@ -4,8 +4,14 @@ Semantics (which vertex every walk visits) are executed exactly with NumPy;
 the simulated timeline answers how long each phase would take on the modeled
 GPU and how phases overlap across the compute / load / evict streams.
 
-The engine is a thin orchestrator over the pipeline stages in
-:mod:`repro.core.stages`.  One iteration of :meth:`LightTrafficEngine.run`:
+:class:`LightTrafficEngine` is the public facade.  It holds what a run
+builds once (partitioning, cost models, interconnects) and builds one
+:class:`~repro.core.stages.StageContext` per device shard
+(:meth:`LightTrafficEngine._build_context`).  There is one run loop:
+every run, ``devices=1`` included, is a sharded run of
+:class:`~repro.core.cluster.MultiDeviceEngine`, and a single-device run
+is a one-shard cluster (no owned mask, no migration router).  One
+iteration of that loop, per shard:
 
 1. the scheduler selects a partition ``i`` (selective: most walks);
 2. :class:`~repro.core.stages.GraphServer` serves partition ``i``'s graph
@@ -31,29 +37,29 @@ reshuffles, evictions, finishes — is emitted as a typed event on an
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from dataclasses import replace as dataclass_replace
+from typing import Any, List, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import RandomWalkAlgorithm
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.config import EngineConfig
-from repro.core.events import (
-    EventBus,
-    IterationStarted,
-    RunCompleted,
-    WalksSeeded,
-)
+from repro.core.events import EventBus, WalksSeeded
 from repro.core.metrics import MetricsCollector
 from repro.core.prng import seeded_rng
 from repro.core.scheduler import Scheduler
-from repro.core.stages import (
-    ComputeDispatcher,
-    GraphServer,
-    PreemptiveDispatcher,
-    StageContext,
-    WalkLoader,
+from repro.core.stages import StageContext
+from repro.core.stats import RunStats
+from repro.core.trace import TraceRecorder
+from repro.gpu.cluster import (
+    ClusterDeviceSpec,
+    DeviceCluster,
+    PeerLinkSpec,
+    homogeneous_specs,
+    peer_link_by_name,
+    topology_by_name,
 )
-from repro.core.stats import RunStats, StatsCollector
-from repro.core.trace import TraceRecorder, TraceSubscriber
 from repro.gpu.kernels import DIRECT_WRITE, KernelModel
 from repro.gpu.memory import BlockPool
 from repro.gpu.pcie import PCIeSpec, interconnect_by_name
@@ -67,6 +73,16 @@ from repro.walks.reshuffle import (
     group_by_partition,
 )
 from repro.walks.state import WalkArrays
+
+
+def _scaled_link(link: PCIeSpec, scale: float) -> PCIeSpec:
+    """``link`` with its bandwidth scaled by ``scale`` (latency by 1/scale)."""
+    return dataclass_replace(
+        link,
+        name=f"{link.name}x{scale:g}",
+        bandwidth=link.bandwidth * scale,
+        latency_seconds=link.latency_seconds / scale,
+    )
 
 
 class LightTrafficEngine:
@@ -142,187 +158,173 @@ class LightTrafficEngine:
         )
         return backend
 
+    def _make_cluster(self) -> DeviceCluster:
+        """The run's shard map and peer mesh (one device by default)."""
+        cfg = self.config
+        num_devices = cfg.devices
+        peer = cfg.peer_interconnect
+        link = (
+            peer
+            if isinstance(peer, PeerLinkSpec)
+            else peer_link_by_name(str(peer))
+        )
+        specs = (
+            tuple(cfg.device_specs)
+            if cfg.device_specs is not None
+            else homogeneous_specs(num_devices)
+        )
+        return DeviceCluster(
+            np.asarray(self.partitioned.partition_sizes(), dtype=np.int64),
+            num_devices,
+            link=link,
+            record_ops=cfg.record_ops,
+            specs=specs,
+            topology=(
+                topology_by_name(cfg.topology, num_devices)
+                if num_devices > 1
+                else None
+            ),
+            assignment_weights=self._assignment_weights(specs),
+        )
+
+    def _assignment_weights(
+        self, specs: Sequence[ClusterDeviceSpec]
+    ) -> Optional[np.ndarray]:
+        """Byte-assignment weights of ``specs``; ``None`` splits evenly."""
+        if not self.config.heterogeneous_assignment or all(
+            spec.assignment_weight == 1.0 for spec in specs
+        ):
+            return None
+        return np.array(
+            [spec.assignment_weight for spec in specs], dtype=np.float64
+        )
+
     def _build_context(
-        self, num_walks: int, bus: EventBus, backend: Any = None
+        self,
+        device_id: int,
+        cluster: DeviceCluster,
+        rng: Any,
+        num_walks: int,
+        bus: EventBus,
+        backend: Any = None,
     ) -> StageContext:
-        """Assemble pools, timeline, scheduler and policies for one run."""
+        """Pools, timeline, scheduler and policies of one device shard."""
         cfg = self.config
         num_partitions = self.partitioned.num_partitions
         batch_cap = cfg.resolved_batch_walks()
         capacity = cfg.walk_pool_walks
         if capacity is None:
             capacity = max(num_walks, batch_cap)
+        pool_partitions = cfg.graph_pool_partitions
         reshuffler_cls = (
             DirectWriteReshuffler
             if cfg.reshuffle_mode == DIRECT_WRITE
             else TwoLevelReshuffler
         )
+        # Heterogeneity: scale this shard's cost model and memory budgets
+        # by its capability spec.  The == 1.0 guards keep the homogeneous
+        # path on the exact shared objects/ints (bit-identity).
+        spec = cluster.spec(device_id)
+        kernel_model = self.kernel_model
+        if spec.compute_scale != 1.0:
+            device = dataclass_replace(
+                cfg.device,
+                name=f"{cfg.device.name}-{spec.name}",
+                clock_hz=cfg.device.clock_hz * spec.compute_scale,
+                mem_bandwidth=cfg.device.mem_bandwidth * spec.compute_scale,
+            )
+            kernel_model = KernelModel(device, cfg.calibration)
+        if spec.memory_scale != 1.0:
+            capacity = max(batch_cap, int(capacity * spec.memory_scale))
+            pool_partitions = max(
+                1, int(cfg.graph_pool_partitions * spec.memory_scale)
+            )
+        # link_scale covers the device's whole I/O complex: the host
+        # interconnect carrying graph/walk DMA as well as the peer links
+        # (which DeviceCluster.channel scales on its own).
+        pcie = self.pcie
+        ship_link = self.ship_link
+        if spec.link_scale != 1.0:
+            pcie = _scaled_link(pcie, spec.link_scale)
+            ship_link = _scaled_link(ship_link, spec.link_scale)
         return StageContext(
             config=cfg,
             graph=self.graph,
             algorithm=self.algorithm,
             pgraph=self.partitioned,
-            rng=self._make_rng(),
+            rng=rng,
             scheduler=Scheduler(
                 num_partitions,
                 cfg.selective,
                 cfg.preemptive,
                 eviction_policy=cfg.eviction_policy,
+                owned=(
+                    cluster.owned_mask(device_id)
+                    if cluster.num_devices > 1
+                    else None
+                ),
             ),
             host=HostWalkPool(num_partitions, batch_cap),
             device=DeviceWalkPool(num_partitions, batch_cap, capacity),
             graph_pool=BlockPool(
-                cfg.graph_pool_partitions,
-                name="graph-pool",
+                pool_partitions,
+                name=f"graph-pool-d{device_id}",
                 track_recency=(cfg.eviction_policy == "lru"),
             ),
             timeline=Timeline(record_ops=cfg.record_ops),
             bus=bus,
             reshuffler=reshuffler_cls(
-                self.kernel_model, num_partitions, backend=backend
+                kernel_model, num_partitions, backend=backend
             ),
-            kernel_model=self.kernel_model,
-            pcie=self.pcie,
-            ship_link=self.ship_link,
+            kernel_model=kernel_model,
+            pcie=pcie,
+            ship_link=ship_link,
             bytes_per_walk=self.algorithm.bytes_per_walk,
             adaptive=self.adaptive,
+            cluster=cluster,
+            device_id=device_id,
             backend=backend,
         )
 
-    def _seed_walks(self, ctx: StageContext, num_walks: int) -> None:
-        """Initialize all walks into the host pool, grouped by partition."""
-        starts = self.algorithm.start_vertices(self.graph, num_walks, ctx.rng)
+    def _seed(self, contexts: List[StageContext], num_walks: int) -> None:
+        """Seed every walk into the host pool of its start partition's owner.
+
+        ``contexts`` holds one context per device, in device order.  The
+        shards share one RNG, one bus and one backend, so the first
+        context's are the run's.
+        """
+        first = contexts[0]
+        starts = self.algorithm.start_vertices(
+            self.graph, num_walks, first.rng
+        )
         walks = WalkArrays.fresh(starts)
         self.algorithm.on_start(walks, self.graph)
-        if ctx.backend is not None:
-            # Real backends precompute from the seeded state (trajectory
-            # tables, worker forks) before the walks are split up.
-            ctx.backend.on_walks_seeded(walks)
-        start_parts = ctx.pgraph.find_partitions(walks.vertices)
+        if first.backend is not None:
+            # Real backends precompute from the full seeded state
+            # (trajectory tables, worker forks) before the walks are split
+            # up by partition and device.
+            first.backend.on_walks_seeded(walks)
+        start_parts = self.partitioned.find_partitions(walks.vertices)
         groups = group_by_partition(walks, start_parts)
         for part, group in groups.items():
-            ctx.host.append_walks(part, group)
-        ctx.bus.emit(WalksSeeded(walks=num_walks, partitions=len(groups)))
+            contexts[first.cluster.owner(part)].host.append_walks(part, group)
+        first.bus.emit(WalksSeeded(walks=num_walks, partitions=len(groups)))
 
     # ------------------------------------------------------------------
     def run(self, num_walks: int) -> RunStats:
-        """Run ``num_walks`` walks to completion; returns the statistics."""
-        if num_walks < 1:
-            raise ValueError("num_walks must be >= 1")
-        if self.config.devices > 1 and type(self) is LightTrafficEngine:
-            # Multi-device configs run on the sharded engine; it reuses the
-            # same stages per shard and adds P2P walk migration.
-            from repro.core.cluster import MultiDeviceEngine
+        """Run ``num_walks`` walks to completion; returns the statistics.
 
-            engine = MultiDeviceEngine(
-                self.graph,
-                self.algorithm,
-                self.config,
-                partitioned=self.partitioned,
-                trace=self.trace,
-                bus=self.bus,
-                metrics=self.metrics,
-            )
-            stats = engine.run(num_walks)
-            self._timeline = engine._timeline
-            return stats
-        cfg = self.config
-        bus = self.bus if self.bus is not None else EventBus()
-        backend = self._make_backend()
-        ctx = self._build_context(num_walks, bus, backend)
-        stats = RunStats(
-            system="lighttraffic",
-            algorithm=self.algorithm.name,
-            graph=self.graph.name or "graph",
-            num_walks=num_walks,
-            num_partitions=ctx.pgraph.num_partitions,
-        )
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
-        if self.trace is not None:
-            observers.append(bus.attach(TraceSubscriber(self.trace)))
-        sanitizer = None
-        if cfg.sanitize:
-            from repro.analysis import Sanitizer
+        The run goes through the one sharded loop of
+        :class:`~repro.core.cluster.MultiDeviceEngine`, which shares this
+        engine's built state (partitioning, cost models, the algorithm's
+        configured sampler) instead of building it a second time.
+        """
+        from repro.core.cluster import MultiDeviceEngine
 
-            sanitizer = Sanitizer().bind(
-                timeline=ctx.timeline,
-                graph_pool=ctx.graph_pool,
-                host=ctx.host,
-                device=ctx.device,
-                expected_walks=num_walks,
-            )
-            observers.append(bus.attach(sanitizer))
-
-        graph_server = GraphServer(ctx)
-        loader = WalkLoader(ctx)
-        compute = ComputeDispatcher(ctx)
-        preemptive = PreemptiveDispatcher(ctx, compute)
-        host, device, scheduler = ctx.host, ctx.device, ctx.scheduler
-        try:
-            self._seed_walks(ctx, num_walks)
-            while host.total_walks + device.cached_walks > 0:
-                ctx.iteration += 1
-                if (
-                    cfg.max_iterations is not None
-                    and ctx.iteration > cfg.max_iterations
-                ):
-                    raise RuntimeError(
-                        f"exceeded max_iterations={cfg.max_iterations} with "
-                        f"{ctx.pending_walks} walks left"
-                    )
-                selected = scheduler.select_partition(host, device)
-                if selected is None:  # pragma: no cover - guarded by loop
-                    break
-                bus.emit(
-                    IterationStarted(
-                        ctx.iteration, selected, ctx.partition_walks(selected)
-                    )
-                )
-                served = graph_server.serve(selected)
-                preemptive.fill(exclude=selected)
-                contents, batch_t = loader.stream(selected)
-                if contents is not None:
-                    compute.dispatch(
-                        selected,
-                        contents,
-                        earliest=max(served.ready_time, batch_t),
-                        zero_copy=served.zero_copy,
-                    )
-                compute.dispatch(
-                    selected,
-                    device.pop_all(selected),
-                    earliest=served.ready_time,
-                    zero_copy=served.zero_copy,
-                )
-
-            if ctx.finished != num_walks:
-                raise RuntimeError(
-                    f"walk conservation violated: finished {ctx.finished} "
-                    f"of {num_walks}"
-                )
-            bus.emit(
-                RunCompleted(
-                    total_time=ctx.timeline.total_time(),
-                    breakdown=ctx.timeline.breakdown.as_dict(),
-                    graph_pool_hits=ctx.graph_pool.hits,
-                    graph_pool_misses=ctx.graph_pool.misses,
-                    finished_walks=ctx.finished,
-                )
-            )
-        finally:
-            for observer in observers:
-                bus.detach(observer)
-            if sanitizer is not None:
-                sanitizer.unbind()
-                stats.sanitizer = sanitizer.summary()
-            backend.close()
-        stats.backend = cfg.backend
-        stats.measured = backend.timings().as_dict()
-        if cfg.record_ops:
-            ctx.timeline.validate()
-        self._timeline = ctx.timeline
+        sharded = MultiDeviceEngine.__new__(MultiDeviceEngine)
+        sharded.__dict__.update(vars(self))
+        stats = sharded.run(num_walks)
+        self._timeline = sharded._timeline
         return stats
 
 

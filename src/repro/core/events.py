@@ -30,8 +30,9 @@ totals.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Type
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Type
 
 #: How the selected partition's graph data was served (GraphServed.mode).
 SERVED_HIT = "hit"
@@ -51,11 +52,11 @@ class WalksSeeded(EngineEvent):
     """All of a run's walks were seeded into host pools, pre-iteration.
 
     Emitted exactly once per run, after
-    :meth:`~repro.core.engine.LightTrafficEngine._seed_walks` (or the
-    multi-device sharded seeding) populates the host pools — the one
-    mutation of shared pipeline state that happens before the iteration
-    loop, made observable so subscribers (notably the runtime sanitizer's
-    walk-conservation check) see the run's true starting population.
+    :meth:`~repro.core.engine.LightTrafficEngine._seed` populates every
+    shard's host pool — the one mutation of shared pipeline state that
+    happens before the iteration loop, made observable so subscribers
+    (notably the runtime sanitizer's walk-conservation check) see the
+    run's true starting population.
     ``partitions`` is the number of distinct start partitions.
     """
 
@@ -315,6 +316,11 @@ def _handler_name(event_type: Type[EngineEvent]) -> str:
     return "on_" + _SNAKE_RE.sub("_", event_type.__name__).lower()
 
 
+#: (event type, handler method name) pairs that :meth:`EventBus.attach`
+#: binds, computed once.
+_HANDLER_NAMES = tuple((t, _handler_name(t)) for t in EVENT_TYPES)
+
+
 class EventBus:
     """Synchronous publish/subscribe hub for :class:`EngineEvent` types.
 
@@ -367,8 +373,8 @@ class EventBus:
     def attach(self, subscriber: Any) -> Any:
         """Bind every ``on_<event>`` method of ``subscriber``; returns it."""
         bound = 0
-        for event_type in EVENT_TYPES:
-            method = getattr(subscriber, _handler_name(event_type), None)
+        for event_type, name in _HANDLER_NAMES:
+            method = getattr(subscriber, name, None)
             if callable(method):
                 self.subscribe(event_type, method)
                 bound += 1
@@ -380,14 +386,33 @@ class EventBus:
 
     def detach(self, subscriber: Any) -> None:
         """Remove every handler previously bound by :meth:`attach`."""
-        for event_type in EVENT_TYPES:
-            method = getattr(subscriber, _handler_name(event_type), None)
+        for event_type, name in _HANDLER_NAMES:
+            method = getattr(subscriber, name, None)
             if callable(method):
                 handlers = self._handlers.get(event_type)
                 if handlers and method in handlers:
                     handlers.remove(method)
                     if not handlers:
                         del self._handlers[event_type]
+
+    @contextmanager
+    def observing(self, *subscribers: Any) -> Iterator[None]:
+        """Attach ``subscribers`` for the block, detach them on the way out.
+
+        ``None`` entries are skipped, so optional observers can be passed
+        as they are.  Subscribers attach in the order given (handlers run
+        in subscription order) and are detached even when the block
+        raises, leaving a caller-supplied bus with only its own handlers.
+        """
+        attached: List[Any] = []
+        try:
+            for subscriber in subscribers:
+                if subscriber is not None:
+                    attached.append(self.attach(subscriber))
+            yield
+        finally:
+            for subscriber in attached:
+                self.detach(subscriber)
 
     # ------------------------------------------------------------------
     # Emission

@@ -49,12 +49,12 @@ class StageContext:
     ship_link: PCIeSpec
     bytes_per_walk: int
     adaptive: AdaptivePolicy
+    #: the shard map + P2P mesh (one device on a single-device run).
+    cluster: DeviceCluster
     #: completion time of each cached partition's last explicit load.
     graph_ready: Dict[int, float] = field(default_factory=dict)
-    #: which device shard this context belongs to (0 = single-GPU path).
+    #: which device shard this context belongs to.
     device_id: int = 0
-    #: the shard map + P2P mesh when running multi-device, else ``None``.
-    cluster: Optional[DeviceCluster] = None
     #: migration router (:class:`repro.core.cluster.WalkMigrator`) the
     #: compute stage hands cross-shard walks to; ``None`` = single device.
     router: Optional[object] = None

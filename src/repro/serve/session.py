@@ -351,15 +351,11 @@ class ServeSession:
             num_walks=int(sum(query.walks for query in queries)),
         )
         metrics = MetricsCollector() if self.collect_metrics else None
-        observers = [bus.attach(StatsCollector(stats, metrics=metrics))]
-        if metrics is not None:
-            observers.append(bus.attach(metrics))
         sanitizer = None
         if self.config.sanitize:
             from repro.analysis import Sanitizer
 
             sanitizer = Sanitizer()
-            observers.append(bus.attach(sanitizer))
 
         initial, closed_queues = self._submissions(queries)
         upcoming: List[Tuple[float, int, _Submission]] = [
@@ -396,7 +392,9 @@ class ServeSession:
                     )
                 )
 
-        try:
+        with bus.observing(
+            StatsCollector(stats, metrics=metrics), metrics, sanitizer
+        ):
             while pending or upcoming:
                 if not pending:
                     clock = max(clock, upcoming[0][0])
@@ -465,9 +463,6 @@ class ServeSession:
                     finished_walks=int(sum(r.walks for r in results)),
                 )
             )
-        finally:
-            for observer in observers:
-                bus.detach(observer)
         return ServeReport(
             results=results,
             stats=stats,

@@ -232,6 +232,51 @@ class TestRun:
         )
         assert code == 0
 
+    # -- bad input fails at the boundary with exit 2 ---------------------
+    def test_zero_walks_rejected(self, graph_file, capsys):
+        code = main(["run", "--graph", graph_file, "--walks", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--walks must be >= 1" in captured.err
+        assert "omit it" in captured.err
+        assert captured.out == ""
+
+    def test_negative_walks_rejected(self, graph_file, capsys):
+        code = main(["run", "--graph", graph_file, "--walks", "-5"])
+        assert code == 2
+        assert "--walks must be >= 1, got -5" in capsys.readouterr().err
+
+    def test_zero_devices_rejected(self, graph_file, capsys):
+        code = main(
+            ["run", "--graph", graph_file, "--walks", "100", "--devices", "0"]
+        )
+        assert code == 2
+        assert "devices must be >= 1" in capsys.readouterr().err
+
+    def test_failure_on_missing_device_rejected(self, graph_file, capsys):
+        code = main(
+            ["run", "--graph", graph_file, "--walks", "100",
+             "--devices", "2", "--fail", "5@3"]
+        )
+        assert code == 2
+        assert "names device 5" in capsys.readouterr().err
+
+    def test_low_rebalance_threshold_rejected(self, graph_file, capsys):
+        code = main(
+            ["run", "--graph", graph_file, "--walks", "100",
+             "--devices", "2", "--rebalance-threshold", "0.5"]
+        )
+        assert code == 2
+        assert "rebalance_threshold must be > 1.0" in capsys.readouterr().err
+
+    def test_missing_graph_file_rejected(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.npz")
+        code = main(["run", "--graph", missing])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"cannot load graph {missing}" in captured.err
+        assert captured.out == ""
+
 
 class TestExperimentCommand:
     def test_experiment_prints_rows(self, capsys, monkeypatch):

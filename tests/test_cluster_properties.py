@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import UniformSampling
-from repro.core.cluster import MultiDeviceEngine, run_sharded
+from repro.core.cluster import MultiDeviceEngine
 from repro.core.config import EngineConfig
 from repro.core.events import EventBus
 from repro.core.scheduler import Scheduler
@@ -161,19 +161,6 @@ def test_same_seed_same_stats(property_graph, devices):
     assert first.total_time == second.total_time
     assert first.breakdown == second.breakdown
     assert first.device_times == second.device_times
-
-
-def test_run_sharded_convenience(property_graph):
-    stats = run_sharded(
-        property_graph,
-        UniformSampling(length=4),
-        200,
-        config=cluster_config(5, 1, record_ops=False),
-        devices=2,
-    )
-    assert stats.num_devices == 2
-    assert stats.sanitizer is not None
-    assert stats.sanitizer["clean"], stats.sanitizer
 
 
 class TestOwnedSchedulerTieBreaks:

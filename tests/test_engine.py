@@ -1,8 +1,11 @@
 """End-to-end tests of the LightTraffic engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.analysis
 from repro.algorithms import (
     Node2Vec,
     PageRank,
@@ -16,6 +19,8 @@ from repro.core.config import (
     EngineConfig,
 )
 from repro.core.engine import LightTrafficEngine, run_walks
+from repro.core.events import EVENT_TYPES, EventBus, IterationStarted
+from repro.core.metrics import MetricsCollector
 from repro.core.stats import (
     CAT_GRAPH_LOAD,
     CAT_WALK_EVICT,
@@ -245,6 +250,51 @@ class TestGuards:
         config = tiny_config.with_options(max_iterations=2)
         with pytest.raises(RuntimeError, match="max_iterations"):
             run_walks(small_graph, PageRank(length=40), 500, config)
+
+    def test_failed_run_restores_bus_and_unbinds_sanitizer(
+        self, small_graph, tiny_config, monkeypatch
+    ):
+        made = []
+
+        class RecordingSanitizer(repro.analysis.Sanitizer):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(repro.analysis, "Sanitizer", RecordingSanitizer)
+        bus = EventBus()
+        seen = []
+        bus.subscribe(IterationStarted, seen.append)
+        config = tiny_config.with_options(max_iterations=2, sanitize=True)
+        engine = LightTrafficEngine(
+            small_graph, PageRank(length=40), config,
+            bus=bus, metrics=MetricsCollector(),
+        )
+        with pytest.raises(RuntimeError, match="max_iterations"):
+            engine.run(500)
+        assert len(seen) == 2
+        assert [t for t in EVENT_TYPES if bus.wants(t)] == [IterationStarted]
+        (sanitizer,) = made
+        for shard in sanitizer._shards.values():
+            assert all(s.observer is None for s in shard.timeline.streams)
+            assert shard.graph_pool.observer is None
+            assert shard.device.observer is None
+
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_repeated_runs_on_one_engine_match(
+        self, small_graph, tiny_config, devices
+    ):
+        config = tiny_config.with_options(devices=devices)
+        engine = LightTrafficEngine(small_graph, PageRank(length=10), config)
+
+        def comparable(stats):
+            # ``measured`` holds real wall-clock timings.
+            return dataclasses.replace(stats, measured={})
+
+        first = engine.run(200)
+        second = engine.run(200)
+        assert comparable(first) == comparable(second)
+        assert first.num_devices == devices
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -98,13 +98,14 @@ def test_golden_parity_holds_under_sanitizer(record, parity_graph):
 
 @pytest.mark.parametrize("record", GOLDEN, ids=_case_id)
 def test_single_shard_cluster_bit_identical(record, parity_graph):
-    """``devices=1`` on the sharded engine is the single-device engine.
+    """``devices=1`` on the sharded engine reproduces every golden.
 
-    The multi-device path (:class:`repro.core.cluster.MultiDeviceEngine`)
-    must collapse at one shard to the exact single-device code path — no
-    owned-mask filtering in the scheduler, no migration router, no
-    channel streams — so every golden stays bit-identical, times
-    included.
+    :class:`repro.core.cluster.MultiDeviceEngine` holds the engine's one
+    run loop, and :meth:`LightTrafficEngine.run` delegates to it, so a
+    single-device run is a one-shard cluster.  Built directly, at one
+    shard — no owned-mask filtering in the scheduler, no migration
+    router, no channel streams — it must reproduce the goldens captured
+    from the former single-device loop bit for bit, times included.
     """
     from repro.core.cluster import MultiDeviceEngine
 

@@ -31,8 +31,10 @@ def build_ctx(graph, config, num_walks=96, length=4):
     """A seeded StageContext plus an event recorder, no engine loop."""
     engine = LightTrafficEngine(graph, PageRank(length=length), config)
     bus = EventBus()
-    ctx = engine._build_context(num_walks, bus)
-    engine._seed_walks(ctx, num_walks)
+    ctx = engine._build_context(
+        0, engine._make_cluster(), engine._make_rng(), num_walks, bus
+    )
+    engine._seed([ctx], num_walks)
     events = []
     for event_type in (
         GraphServed, BatchLoaded, KernelDispatched,

@@ -613,6 +613,19 @@ class TestTypestatePass:
         assert rules_of(findings) == [RULE_TYPESTATE_ORDER]
         assert "missed events" in findings[0].message
 
+    def test_observing_after_emit_caught(self, tmp_path):
+        findings = strict_findings(
+            tmp_path,
+            "from repro.core.events import EventBus, WalkStarted\n"
+            "def wire(observer):\n"
+            "    bus = EventBus()\n"
+            "    bus.emit(WalkStarted(walk=1))\n"
+            "    with bus.observing(observer):\n"
+            "        pass\n",
+        )
+        assert rules_of(findings) == [RULE_TYPESTATE_ORDER]
+        assert "attaches an observer" in findings[0].message
+
     def test_subscribe_before_emit_is_clean(self, tmp_path):
         findings = strict_findings(
             tmp_path,

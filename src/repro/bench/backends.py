@@ -31,7 +31,6 @@ anecdote.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.algorithms import UniformSampling
@@ -212,12 +211,6 @@ def run_bench(
         },
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

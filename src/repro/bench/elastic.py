@@ -24,12 +24,11 @@ diff, not an anecdote.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional, Tuple
 
 from repro.algorithms import UniformSampling
 from repro.bench.harness import bench_engine_config
-from repro.core.config import EngineConfig, FailureSchedule
+from repro.core.config import FailureSchedule
 from repro.core.engine import LightTrafficEngine
 from repro.core.stats import RunStats
 from repro.gpu.cluster import ClusterDeviceSpec
@@ -58,13 +57,6 @@ def _skewed_specs() -> Tuple[ClusterDeviceSpec, ...]:
             name=f"gpu{idx}", compute_scale=rate, link_scale=rate
         )
         for idx, rate in enumerate(CAPABILITY_SKEW)
-    )
-
-
-def _bench_config(seed: int, quick: bool, **overrides: object) -> EngineConfig:
-    """Shared engine config; scenarios vary only the elastic knobs."""
-    return bench_engine_config(
-        seed, quick, devices=NUM_DEVICES, **overrides
     )
 
 
@@ -103,24 +95,20 @@ def run_bench(
         walks = 600 if quick else 2 * graph.num_vertices
     length = 8 if quick else 16
 
-    def run(config: EngineConfig) -> RunStats:
+    def run(**overrides: object) -> RunStats:
+        # Scenarios share one engine config and vary only the elastic knobs.
+        config = bench_engine_config(
+            seed, quick, devices=NUM_DEVICES, **overrides
+        )
         algorithm = UniformSampling(length=length)
         return LightTrafficEngine(graph, algorithm, config).run(walks)
 
     # -- scenario A: skewed specs, aware vs uniform assignment ---------
     aware = run(
-        _bench_config(
-            seed, quick,
-            device_specs=_skewed_specs(),
-            heterogeneous_assignment=True,
-        )
+        device_specs=_skewed_specs(), heterogeneous_assignment=True
     )
     uniform = run(
-        _bench_config(
-            seed, quick,
-            device_specs=_skewed_specs(),
-            heterogeneous_assignment=False,
-        )
+        device_specs=_skewed_specs(), heterogeneous_assignment=False
     )
     hetero_speedup = (
         uniform.total_time / aware.total_time
@@ -129,14 +117,9 @@ def run_bench(
     )
 
     # -- scenario B: homogeneous baseline vs mid-run device failure ----
-    baseline = run(_bench_config(seed, quick))
+    baseline = run()
     fail_at = max(2, baseline.iterations // 3)
-    failure = run(
-        _bench_config(
-            seed, quick,
-            failure_schedule=FailureSchedule.single(1, fail_at),
-        )
-    )
+    failure = run(failure_schedule=FailureSchedule.single(1, fail_at))
     slowdown = (
         failure.total_time / baseline.total_time
         if baseline.total_time > 0
@@ -202,12 +185,6 @@ def run_bench(
         },
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

@@ -1,4 +1,5 @@
-"""Fixed-width table and series printers for benchmark output.
+"""Fixed-width table and series printers for benchmark output, and the
+results-JSON writer every ``repro bench`` suite shares.
 
 Every bench prints the same rows the paper's tables/figures report, so the
 output of ``pytest benchmarks/ --benchmark-only -s`` reads side by side with
@@ -7,7 +8,8 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Union
+import json
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -74,3 +76,10 @@ def rows_from_dicts(
 ) -> List[List[Cell]]:
     """Project a list of dict rows onto ordered columns."""
     return [[d.get(k, "") for k in keys] for d in dicts]
+
+
+def write_results(results: Dict[str, object], path: str) -> None:
+    """Write one bench suite's results payload to ``path`` as sorted JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(results, handle, indent=2, sort_keys=True)
+        handle.write("\n")

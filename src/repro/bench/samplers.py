@@ -25,7 +25,6 @@ numbers per commit and a regression shows up as a diff, not an anecdote.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable, Dict, Optional, Sequence
 
@@ -293,12 +292,6 @@ def run_bench(
         "all_ok": parity_ok and (speedup_ok or quick),
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

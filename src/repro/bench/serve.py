@@ -22,7 +22,6 @@ as ``BENCH_serve.json`` so CI archives the latency envelope per commit.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -49,11 +48,6 @@ WORKER_COUNTS = (2, 8)
 #: of the same worker count's measured closed-loop completion rate, so
 #: the open-loop run queues by construction.
 OPEN_OVERLOAD = 1.5
-
-
-def _bench_config(seed: int, quick: bool) -> EngineConfig:
-    """Shared engine config for every per-batch engine run."""
-    return bench_engine_config(seed, quick)
 
 
 def _run_entry(
@@ -124,7 +118,7 @@ def run_bench(
     graph = rmat(scale=scale, edge_factor=edge_factor, seed=seed)
     if queries is None:
         queries = 12 if quick else 32
-    config = _bench_config(seed, quick)
+    config = bench_engine_config(seed, quick)
     vertex_types = make_vertex_types(graph, seed)
     workload = default_workload(
         graph, kinds=QUERY_KINDS, queries=queries, seed=seed
@@ -211,12 +205,6 @@ def run_bench(
         },
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

@@ -19,40 +19,23 @@ Commands
     coalesced into shared frontier batches, and per-request
     queue/service/total latency is reported under the
     ``request-conservation`` sanitizer rule.
-``bench samplers``
-    Run the transition-sampler microbenchmark (loop vs vectorized alias
-    build, node2vec stepping, per-sampler throughput + distribution
-    parity) and write ``BENCH_samplers.json``.
-``bench devices``
-    Run the multi-device scaling benchmark (1/2/4 shards with P2P walk
-    migration, simulated speedup + migration counts) and write
-    ``BENCH_devices.json``.
-``bench elastic``
-    Run the elastic-cluster benchmark: heterogeneity-aware vs uniform
-    partition assignment on skewed 4-device specs, and a mid-run
-    single-device failure that must complete sanitizer-clean with zero
-    lost walks and bounded slowdown.  Writes ``BENCH_elastic.json``.
-``bench backends``
-    Run the execution-backend benchmark: the real kernels (``numba``,
-    ``multiprocess``) against the ``simulated`` NumPy interpreter path
-    on the same seeded workload — bit-identical results enforced, real
-    wall-clock speedups reported, and the analytic kernel cost model
-    cross-validated against the measured per-kernel times.  Writes
-    ``BENCH_backends.json``.
-``bench serve``
-    Run the sustained-load serving benchmark: the mixed query workload
-    under closed- and open-loop arrivals at two client-worker counts,
-    p50/p90/p99 latency + throughput per run, with the coalescing
-    parity gate (every coalescible request re-run standalone must match
-    bit-for-bit) enforced inside the bench.  Writes ``BENCH_serve.json``.
+``bench <suite>``
+    Run one gate-checked benchmark suite, print its summary and write
+    ``BENCH_<suite>.json``; exit 1 when a gate fails.  The suites are
+    ``samplers`` (loop vs vectorized transition sampling), ``devices``
+    (1/2/4-shard scaling with P2P walk migration), ``elastic``
+    (heterogeneity-aware assignment and mid-run device failure),
+    ``backends`` (real numba/multiprocess kernels vs the simulated path,
+    bit-identity and cost-model cross-validation) and ``serve``
+    (closed/open-loop latency with the coalescing parity gate).
 ``lint``
     Run the repo's static-analysis framework
     (:mod:`repro.analysis.static`).  The default pass set is the cheap
     house rules: RNG calls outside the ``core/prng.py`` factory, ``==``
     on float timestamps, unfrozen event dataclasses, bus events without
     a registered handler.  ``--strict`` adds the dataflow passes
-    (unit-of-measure over the cost stack, cross-stage aliasing over the
-    pipeline) and gates on the committed ``lint-baseline.json``;
+    (unit-of-measure, cross-stage aliasing, rng, effects, protocol,
+    typestate, taint) and gates on the committed ``lint-baseline.json``;
     ``--json`` writes the machine-readable findings report CI uploads.
 
 Examples
@@ -72,13 +55,10 @@ Examples
         --fail 1@40 --rebalance-threshold 1.5 --metrics-prom metrics.prom
     python -m repro experiment table3
     python -m repro generate --kind rmat --scale 14 --edge-factor 8 --out g.npz
-    python -m repro bench samplers --quick --out BENCH_samplers.json
-    python -m repro bench devices --quick --out BENCH_devices.json
-    python -m repro bench elastic --quick --out BENCH_elastic.json
-    python -m repro bench backends --quick --out BENCH_backends.json
     python -m repro serve --scale 10 --workers 8 --queries 32
     python -m repro serve --kinds ppr,uniform --workers 4 --seed 11
-    python -m repro bench serve --quick --out BENCH_serve.json
+    python -m repro bench devices --quick --out BENCH_devices.json
+    python -m repro bench serve --quick --out -
     python -m repro lint src/repro
     python -m repro lint --strict --json lint-report.json src/repro
 """
@@ -88,7 +68,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple
 
 from repro.bench import harness, reporting
 from repro.bench.workloads import (
@@ -118,26 +98,64 @@ SYSTEMS = (
 #: systems whose engines publish on the event bus (support --metrics-json).
 BUS_SYSTEMS = ("lighttraffic", "subway", "uvm", "multiround")
 
-EXPERIMENTS = {
-    "table1": (harness.table1_subway_breakdown, ()),
-    "table2": (harness.table2_dataset_stats, ()),
-    "table3": (harness.table3_scheduling, ()),
-    "fig3": (harness.fig3_active_ratio, ()),
-    "fig9": (harness.fig9_cpu_comparison, ()),
-    "fig10": (harness.fig10_subway_comparison, ()),
-    "fig11": (harness.fig11_nextdoor, ()),
-    "fig12": (harness.fig12_reshuffle, ()),
-    "fig13": (harness.fig13_pipeline, ()),
-    "fig14": (harness.fig14_adaptive, ()),
-    "fig15": (harness.fig15_memory_size, ()),
-    "fig16": (harness.fig16_multiround, ()),
-    "fig17": (harness.fig17_partition_size, ()),
-    "fig18": (harness.fig18_scalability, ()),
-    "metrics": (harness.metrics_observatory, ()),
+
+class Suite(NamedTuple):
+    """One ``repro bench`` suite; its code is ``repro.bench.<name>``.
+
+    The module is imported only when the suite runs.  It defines
+    ``run_bench(**params)``, whose signature holds every parameter's
+    default, and ``format_summary(results)``.
+    """
+
+    name: str
+    help: str
+    #: size flags beyond the shared ``--quick --edge-factor --seed --out``
+    flags: Tuple[str, ...]
+
+
+BENCH_SUITES = (
+    Suite(
+        "samplers",
+        "loop-vs-vectorized transition sampling benchmark",
+        ("--vertices",),
+    ),
+    Suite(
+        "devices",
+        "multi-device sharding scaling benchmark (1/2/4 shards)",
+        ("--scale", "--walks"),
+    ),
+    Suite(
+        "elastic",
+        "elastic-cluster benchmark: heterogeneity-aware assignment on "
+        "skewed specs + mid-run device failure with walk recovery",
+        ("--scale", "--walks"),
+    ),
+    Suite(
+        "backends",
+        "execution-backend benchmark: real numba/multiprocess kernels vs "
+        "the simulated NumPy path, bit-identity + cost-model "
+        "cross-validation",
+        ("--scale", "--walks"),
+    ),
+    Suite(
+        "serve",
+        "sustained-load serving benchmark: open/closed-loop latency "
+        "percentiles + throughput with the coalescing parity gate",
+        ("--scale", "--queries"),
+    ),
+)
+
+_SIZE_FLAG_HELP = {
+    "--vertices": "vertex count of the benchmark graph",
+    "--scale": "rmat scale of the benchmark workload",
+    "--walks": "walk count (default: workload-sized)",
+    "--queries": "query count (default: workload-sized)",
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench.report import experiment_registry
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="LightTraffic (ICDE 2023) reproduction toolkit",
@@ -232,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp.add_argument("name", choices=sorted(EXPERIMENTS))
+    exp.add_argument("name", choices=sorted(experiment_registry()))
 
     report = sub.add_parser(
         "report", help="regenerate all experiments into one markdown file"
@@ -268,118 +286,26 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="performance microbenchmarks with JSON output"
     )
     bench_sub = bench.add_subparsers(dest="bench_target", required=True)
-    samplers = bench_sub.add_parser(
-        "samplers",
-        help="loop-vs-vectorized transition sampling benchmark",
-    )
-    samplers.add_argument(
-        "--quick", action="store_true",
-        help="small sizes for CI smoke runs (speedup floor not enforced)",
-    )
-    samplers.add_argument("--vertices", type=int, default=10_000)
-    samplers.add_argument("--edge-factor", type=int, default=8)
-    samplers.add_argument("--seed", type=int, default=7)
-    samplers.add_argument(
-        "--out", default="BENCH_samplers.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    samplers.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on parity/speedup violations",
-    )
-    devices = bench_sub.add_parser(
-        "devices",
-        help="multi-device sharding scaling benchmark (1/2/4 shards)",
-    )
-    devices.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (speedup floor not enforced)",
-    )
-    devices.add_argument("--scale", type=int, default=12,
-                         help="rmat scale of the scaling workload")
-    devices.add_argument("--edge-factor", type=int, default=8)
-    devices.add_argument("--walks", type=int, default=None,
-                         help="walk count (default: workload-sized)")
-    devices.add_argument("--seed", type=int, default=7)
-    devices.add_argument(
-        "--out", default="BENCH_devices.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    devices.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on conservation/speedup violations",
-    )
-    elastic = bench_sub.add_parser(
-        "elastic",
-        help="elastic-cluster benchmark: heterogeneity-aware assignment "
-             "on skewed specs + mid-run device failure with walk recovery",
-    )
-    elastic.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (speedup floor not enforced)",
-    )
-    elastic.add_argument("--scale", type=int, default=12,
-                         help="rmat scale of the benchmark workload")
-    elastic.add_argument("--edge-factor", type=int, default=8)
-    elastic.add_argument("--walks", type=int, default=None,
-                         help="walk count (default: workload-sized)")
-    elastic.add_argument("--seed", type=int, default=7)
-    elastic.add_argument(
-        "--out", default="BENCH_elastic.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    elastic.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on conservation/slowdown violations",
-    )
-    backends = bench_sub.add_parser(
-        "backends",
-        help="execution-backend benchmark: real numba/multiprocess kernels "
-             "vs the simulated NumPy path, bit-identity + cost-model "
-             "cross-validation",
-    )
-    backends.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (speedup floor not enforced)",
-    )
-    backends.add_argument("--scale", type=int, default=13,
-                          help="rmat scale of the benchmark workload")
-    backends.add_argument("--edge-factor", type=int, default=8)
-    backends.add_argument("--walks", type=int, default=None,
-                          help="walk count (default: workload-sized)")
-    backends.add_argument("--seed", type=int, default=7)
-    backends.add_argument(
-        "--out", default="BENCH_backends.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    backends.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on identity/speedup violations",
-    )
-    bench_serve = bench_sub.add_parser(
-        "serve",
-        help="sustained-load serving benchmark: open/closed-loop latency "
-             "percentiles + throughput with the coalescing parity gate",
-    )
-    bench_serve.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (latency is structural-"
-             "checked only)",
-    )
-    bench_serve.add_argument("--scale", type=int, default=10,
-                             help="rmat scale of the benchmark workload")
-    bench_serve.add_argument("--edge-factor", type=int, default=8)
-    bench_serve.add_argument("--queries", type=int, default=None,
-                             help="query count (default: workload-sized)")
-    bench_serve.add_argument("--seed", type=int, default=7)
-    bench_serve.add_argument(
-        "--out", default="BENCH_serve.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    bench_serve.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on parity/conservation violations",
-    )
+    for suite in BENCH_SUITES:
+        # Unset suite flags stay off the namespace (SUPPRESS), so
+        # run_bench's own defaults apply.
+        target = bench_sub.add_parser(
+            suite.name, help=suite.help, argument_default=argparse.SUPPRESS
+        )
+        target.add_argument(
+            "--quick", action="store_true",
+            help="small workload for CI smoke runs (performance floors "
+                 "not enforced)",
+        )
+        for flag in suite.flags:
+            target.add_argument(flag, type=int, help=_SIZE_FLAG_HELP[flag])
+        target.add_argument("--edge-factor", type=int)
+        target.add_argument("--seed", type=int)
+        target.add_argument(
+            "--out", default=f"BENCH_{suite.name}.json",
+            help=f"results JSON path (default: BENCH_{suite.name}.json; "
+                 "'-' to skip the file and print only)",
+        )
 
     lint = sub.add_parser(
         "lint", help="run the repo-specific static-analysis passes"
@@ -392,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--strict", action="store_true",
         help="also run the dataflow passes (unit-of-measure, cross-stage "
-             "aliasing) and gate on the suppression baseline",
+             "aliasing, rng, effects, protocol, typestate, taint) and gate "
+             "on the suppression baseline",
     )
     lint.add_argument(
         "--json", default=None, metavar="PATH", dest="json_path",
@@ -807,8 +734,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(name: str) -> int:
-    func, args = EXPERIMENTS[name]
-    rows = func(*args)
+    from repro.bench.report import experiment_registry
+
+    runner, __ = experiment_registry()[name]
+    rows = runner()
     if not rows:
         print("no rows produced")
         return 1
@@ -898,92 +827,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_target == "serve":
-        from repro.bench import serve as bench_serve
+    """Run one :data:`BENCH_SUITES` suite; exit 1 when a gate fails.
 
-        results = bench_serve.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            queries=args.queries,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_serve.format_summary(results))
-        if args.out != "-":
-            bench_serve.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("serve benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    if args.bench_target == "backends":
-        from repro.bench import backends as bench_backends
+    Besides ``command``, ``bench_target`` and ``out``, ``args`` holds only
+    the suite flags the user set, and they go to ``run_bench`` as is.
+    """
+    import importlib
 
-        results = bench_backends.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            walks=args.walks,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_backends.format_summary(results))
-        if args.out != "-":
-            bench_backends.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("backend benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    if args.bench_target == "elastic":
-        from repro.bench import elastic as bench_elastic
-
-        results = bench_elastic.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            walks=args.walks,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_elastic.format_summary(results))
-        if args.out != "-":
-            bench_elastic.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("elastic benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    if args.bench_target == "devices":
-        from repro.bench import devices as bench_devices
-
-        results = bench_devices.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            walks=args.walks,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_devices.format_summary(results))
-        if args.out != "-":
-            bench_devices.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("device benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    from repro.bench import samplers as bench_samplers
-
-    results = bench_samplers.run_bench(
-        vertices=args.vertices,
-        edge_factor=args.edge_factor,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    print(bench_samplers.format_summary(results))
+    suite = importlib.import_module(f"repro.bench.{args.bench_target}")
+    params = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "bench_target", "out")
+    }
+    results = suite.run_bench(**params)
+    print(suite.format_summary(results))
     if args.out != "-":
-        bench_samplers.write_results(results, args.out)
+        reporting.write_results(results, args.out)
         print(f"wrote {args.out}")
-    if not args.no_check and not results["checks"]["all_ok"]:
-        print("sampler benchmark checks FAILED", file=sys.stderr)
+    if not results["checks"]["all_ok"]:
+        print(f"{args.bench_target} benchmark checks FAILED", file=sys.stderr)
         return 1
     return 0
 

@@ -254,6 +254,7 @@ class TestModelFitHelpers:
 class TestBenchBackends:
     def test_quick_bench_payload(self, tmp_path):
         from repro.bench import backends as bench_backends
+        from repro.bench.reporting import write_results
 
         results = bench_backends.run_bench(
             scale=8, edge_factor=6, walks=200, seed=3, quick=True
@@ -273,7 +274,7 @@ class TestBenchBackends:
         summary = bench_backends.format_summary(results)
         assert "execution-backend benchmark" in summary
         out = tmp_path / "BENCH_backends.json"
-        bench_backends.write_results(results, str(out))
+        write_results(results, str(out))
         payload = json.loads(out.read_text())
         assert payload["checks"]["identity_ok"]
 

@@ -1,9 +1,6 @@
 """The `repro bench devices` multi-device scaling benchmark harness."""
 
-import json
-
 from repro.bench import devices as bench
-from repro.cli import main
 
 
 class TestRunBench:
@@ -40,29 +37,3 @@ class TestRunBench:
         assert "speedup" in text
         assert "conservation_ok=True" in text
 
-
-class TestCLI:
-    def test_bench_devices_writes_json(self, tmp_path):
-        out = tmp_path / "BENCH_devices.json"
-        code = main(
-            [
-                "bench", "devices", "--quick",
-                "--scale", "9", "--edge-factor", "5",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["checks"]["conservation_ok"]
-        assert payload["config"]["quick"] is True
-
-    def test_bench_devices_stdout_only(self, capsys):
-        code = main(
-            [
-                "bench", "devices", "--quick",
-                "--scale", "9", "--edge-factor", "5",
-                "--out", "-",
-            ]
-        )
-        assert code == 0
-        assert "multi-device scaling benchmark" in capsys.readouterr().out

@@ -1,9 +1,6 @@
 """The `repro bench elastic` heterogeneity/failure benchmark harness."""
 
-import json
-
 from repro.bench import elastic as bench
-from repro.cli import main
 
 
 class TestRunBench:
@@ -47,29 +44,3 @@ class TestRunBench:
         assert "failure slowdown" in text
         assert "conservation_ok=True" in text
 
-
-class TestCLI:
-    def test_bench_elastic_writes_json(self, tmp_path):
-        out = tmp_path / "BENCH_elastic.json"
-        code = main(
-            [
-                "bench", "elastic", "--quick",
-                "--scale", "9", "--edge-factor", "5",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["checks"]["all_ok"]
-        assert payload["config"]["quick"] is True
-
-    def test_bench_elastic_stdout_only(self, capsys):
-        code = main(
-            [
-                "bench", "elastic", "--quick",
-                "--scale", "9", "--edge-factor", "5", "--out", "-",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "elastic cluster benchmark" in out

@@ -1,11 +1,8 @@
 """The `repro bench samplers` microbenchmark harness."""
 
-import json
-
 import numpy as np
 
 from repro.bench import samplers as bench
-from repro.cli import main
 
 
 class TestRunBench:
@@ -34,29 +31,3 @@ class TestRunBench:
         assert "node2vec step" in text
         assert "parity" in text
 
-
-class TestCLI:
-    def test_bench_samplers_writes_json(self, tmp_path):
-        out = tmp_path / "BENCH_samplers.json"
-        code = main(
-            [
-                "bench", "samplers", "--quick",
-                "--vertices", "500", "--edge-factor", "4",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["checks"]["parity_ok"]
-        assert payload["config"]["quick"] is True
-
-    def test_bench_samplers_stdout_only(self, capsys):
-        code = main(
-            [
-                "bench", "samplers", "--quick",
-                "--vertices", "400", "--edge-factor", "4",
-                "--out", "-",
-            ]
-        )
-        assert code == 0
-        assert "sampler microbenchmark" in capsys.readouterr().out

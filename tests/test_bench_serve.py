@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.bench import serve as bench
-from repro.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -61,30 +60,3 @@ class TestRunBench:
         assert "conservation_ok=True" in text
         assert "p99" in text
 
-
-class TestCLI:
-    def test_bench_serve_writes_json(self, tmp_path):
-        out = tmp_path / "BENCH_serve.json"
-        code = main(
-            [
-                "bench", "serve", "--quick",
-                "--scale", "8", "--edge-factor", "5",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["checks"]["all_ok"]
-        assert payload["config"]["quick"] is True
-        assert payload["parity"]["ok"]
-
-    def test_bench_serve_stdout_only(self, capsys):
-        code = main(
-            [
-                "bench", "serve", "--quick",
-                "--scale", "8", "--edge-factor", "5", "--out", "-",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "walk-serving benchmark" in out

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.bench.report import experiment_registry
+from repro.cli import BENCH_SUITES, build_parser, main
 from repro.graph.io import load_csr
 
 
@@ -28,7 +29,7 @@ class TestParser:
         expected = {"table1", "table2", "table3", "metrics"} | {
             f"fig{i}" for i in (3, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)
         }
-        assert set(EXPERIMENTS) == expected
+        assert set(experiment_registry()) == expected
 
 
 class TestGenerate:
@@ -280,10 +281,10 @@ class TestRun:
 
 class TestExperimentCommand:
     def test_experiment_prints_rows(self, capsys, monkeypatch):
-        import repro.cli as cli
-
         monkeypatch.setitem(
-            cli.EXPERIMENTS, "table3", (lambda: [{"variant": "x", "v": 1}], ())
+            experiment_registry(),
+            "table3",
+            (lambda: [{"variant": "x", "v": 1}], "stub"),
         )
         assert main(["experiment", "table3"]) == 0
         out = capsys.readouterr().out
@@ -291,9 +292,7 @@ class TestExperimentCommand:
         assert "variant" in out
 
     def test_experiment_empty_rows(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig3", (lambda: [], ()))
+        monkeypatch.setitem(experiment_registry(), "fig3", (lambda: [], "stub"))
         assert main(["experiment", "fig3"]) == 1
 
     def test_unknown_experiment_rejected(self):
@@ -340,6 +339,77 @@ class TestDatasetsCommand:
         assert main(["datasets"]) == 0
         out = capsys.readouterr().out
         assert "lj-sim" in out and "LiveJournal" in out
+
+
+#: per-suite small workload flags and the summary title each suite prints.
+BENCH_SMOKE = {
+    "samplers": (["--vertices", "400", "--edge-factor", "4"],
+                 "sampler microbenchmark"),
+    "devices": (["--scale", "9", "--edge-factor", "5"],
+                "multi-device scaling benchmark"),
+    "elastic": (["--scale", "9", "--edge-factor", "5"],
+                "elastic cluster benchmark"),
+    "backends": (["--scale", "8", "--edge-factor", "6", "--walks", "200"],
+                 "execution-backend benchmark"),
+    "serve": (["--scale", "8", "--edge-factor", "5"],
+              "walk-serving benchmark"),
+}
+SUITE_NAMES = [suite.name for suite in BENCH_SUITES]
+
+
+class TestBenchCommand:
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_quick_writes_json(self, name, tmp_path):
+        flags, __ = BENCH_SMOKE[name]
+        out = tmp_path / f"BENCH_{name}.json"
+        code = main(["bench", name, "--quick", *flags, "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["checks"]["all_ok"]
+        assert payload["config"]["quick"] is True
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_stdout_only(self, name, tmp_path, monkeypatch, capsys):
+        flags, title = BENCH_SMOKE[name]
+        monkeypatch.chdir(tmp_path)
+        code = main(["bench", name, "--quick", *flags, "--out", "-"])
+        assert code == 0
+        assert title in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_forwards_only_the_flags_set(self, monkeypatch, capsys):
+        from repro.bench import devices
+
+        seen = {}
+
+        def fake_run_bench(**params):
+            seen.update(params)
+            return {"checks": {"all_ok": True}}
+
+        monkeypatch.setattr(devices, "run_bench", fake_run_bench)
+        monkeypatch.setattr(devices, "format_summary", lambda results: "ok")
+        assert main(["bench", "devices", "--seed", "3", "--out", "-"]) == 0
+        assert seen == {"seed": 3}
+
+    def test_failed_gate_exits_1(self, tmp_path, monkeypatch, capsys):
+        from repro.bench import samplers
+
+        real_run_bench = samplers.run_bench
+
+        def failing_run_bench(**params):
+            results = real_run_bench(**params)
+            results["checks"]["all_ok"] = False
+            return results
+
+        monkeypatch.setattr(samplers, "run_bench", failing_run_bench)
+        flags, title = BENCH_SMOKE["samplers"]
+        out = tmp_path / "BENCH_samplers.json"
+        code = main(["bench", "samplers", "--quick", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "checks FAILED" in captured.err
+        assert title in captured.out
+        assert json.loads(out.read_text())["checks"]["all_ok"] is False
 
 
 class TestLintCommand:
